@@ -26,9 +26,8 @@ from .families import (
     all_selection_instances,
     expected_cutout,
     instance_cycle,
-    is_valid,
 )
-from .region import boundary_svg, cells_svg_overlay, measure_json
+from .region import boundary_svg, measure_json, region_contains
 from .verify import (
     TILE_BUDGET_DEFAULT,
     boundary_set,
@@ -128,28 +127,21 @@ def _cmd_cutout(args) -> int:
 
 
 def _cmd_family_check(args) -> int:
-    if args.family is not None:
-        fams = [args.family]
-    else:
-        fams = list(range(1, 20))
     checked = 0
     mismatches = []
-    for f in fams:
-        for inst in all_selection_instances(1, args.n_max):
-            if inst.family != f:
-                continue
-            expected = expected_cutout(inst)
-            got = cycle_polygon(instance_cycle(inst))
-            checked += 1
-            if expected.to_json() != got.to_json():
-                mismatches.append(str(inst))
+    for inst in all_selection_instances(1, args.n_max):
+        if args.family is not None and inst.family != args.family:
+            continue
+        expected = expected_cutout(inst)
+        got = cycle_polygon(instance_cycle(inst))
+        checked += 1
+        if expected.to_json() != got.to_json():
+            mismatches.append(str(inst))
     _emit({"checked": checked, "mismatches": mismatches})
     return 0 if not mismatches else 1
 
 
 def _cmd_region_contains(args) -> int:
-    from .region import region_contains
-
     inside = region_contains(args.p)
     _emit({"point": args.p.as_strings(), "contains": inside})
     return 0
@@ -158,9 +150,15 @@ def _cmd_region_contains(args) -> int:
 def _cmd_boundary_svg(args) -> int:
     window = None
     if args.window:
-        parts = [Fraction(t) for t in args.window.split(",")]
+        try:
+            parts = [Fraction(t) for t in args.window.split(",")]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad window {args.window!r}: {exc}") from None
         if len(parts) != 4:
-            raise argparse.ArgumentTypeError("window wants x0,y0,x1,y1")
+            raise ValueError(f"window wants x0,y0,x1,y1, got {args.window!r}")
+        x0, y0, x1, y1 = parts
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError(f"window {args.window!r} needs x0 < x1 and y0 < y1")
         window = tuple(parts)
     svg = boundary_svg(args.pikes, width=args.width, mirror=args.mirror, window=window)
     _write_text(args.out, svg)
@@ -175,8 +173,8 @@ def _cmd_measure(args) -> int:
 def _cmd_verify_sector(args) -> int:
     status = 0
     reports = []
+    families = set(args.families) if args.families else None
     for n in range(args.n_lo, args.n_hi + 1):
-        families = set(args.families) if args.families else None
         rep = verify_sector(n, families=families, spread=args.spread)
         reports.append(rep.to_json())
         if rep.verdict != "covered":

@@ -62,8 +62,3 @@ def witness_polyhedron(g: WitnessGraph) -> Cell:
     for a in sorted(g.vertices, key=lambda v: (v.norm2(), v.re, v.im)):
         hs.extend(witness_constraints(g, a))
     return intersect_halfplanes(hs)
-
-
-def per_witness_cell(g: WitnessGraph, a: GaussianInt) -> Cell:
-    """Feasible set of a single witness's 16 constraints (diagnostic)."""
-    return intersect_halfplanes(witness_constraints(g, a))

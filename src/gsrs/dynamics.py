@@ -8,7 +8,7 @@ guaranteed for parameters strictly inside the unit disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -157,9 +157,6 @@ class WitnessGraph:
 
     def image(self, i: int, a: GaussianInt) -> GaussianInt:
         return self.edges[i - 1][a]
-
-    def edge_sets(self):
-        return tuple(frozenset(e.items()) for e in self.edges)
 
 
 def witness_graph(r: QComplex, size_budget: int = WITNESS_BUDGET_DEFAULT) -> WitnessGraph:

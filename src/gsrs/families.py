@@ -424,10 +424,11 @@ def is_valid(inst: FamilyInstance) -> bool:
     raise ValueError(f"unknown family {f}")
 
 
-def expand_generators(inst: FamilyInstance) -> Cycle:
-    """Concatenate the family's grouped terms in printed order, k ascending
-    over each group's index set.  All emitted coordinates must be integers
-    (the fractional generator terms cancel on valid instances)."""
+def instance_cycle(inst: FamilyInstance) -> Cycle:
+    """The cycle of a catalog instance: the explicit list for family 0;
+    otherwise the family's grouped terms concatenated in printed order, k
+    ascending over each group's index set.  All emitted coordinates must be
+    integers (the fractional generator terms cancel on valid instances)."""
     if not is_valid(inst):
         raise ValueError(f"invalid instance {inst}")
     if inst.family == 0:
@@ -898,21 +899,13 @@ def selection(n: int, spread: int = 4):
         raise ValueError("regular sectors start at n = 7")
     # Windows abutting the irregular head also need the fixed head
     # instances; extra cover cells are harmless.
-    out = list(PREFIX_INSTANCES) if n - spread <= 6 else []
-    for f in range(1, 20):
-        for nu in range(max(1, n - spread), n + spread + 1):
-            rng = _selection_m_range(f, nu)
-            if rng is None:
-                continue
-            for m in rng:
-                inst = FamilyInstance(f, nu, m)
-                if is_valid(inst):
-                    out.append(inst)
-    return out
+    head = list(PREFIX_INSTANCES) if n - spread <= 6 else []
+    return head + all_selection_instances(max(1, n - spread), n + spread)
 
 
 def all_selection_instances(n_lo: int, n_hi: int):
-    """Every selection-table instance with parameter n in [n_lo, n_hi]."""
+    """Every selection-table instance with parameter n in [n_lo, n_hi],
+    ordered by family, then n, then m."""
     out = []
     for f in range(1, 20):
         for nu in range(n_lo, n_hi + 1):
@@ -937,9 +930,3 @@ def valid_instances(f: int, n_max: int = N_MAX_DEFAULT):
             if is_valid(inst):
                 out.append(inst)
     return out
-
-
-def instance_cycle(inst: FamilyInstance) -> Cycle:
-    """The cycle of a catalog instance (explicit list for family 0,
-    generator expansion otherwise)."""
-    return expand_generators(inst)

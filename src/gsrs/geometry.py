@@ -220,7 +220,11 @@ class Cell:
                 vertices.reverse()
                 vertex_member.reverse()
             return Cell(tuple(vertices), (True,), tuple(vertex_member))
-        assert len(edge_solid) == n and len(vertex_member) == n
+        if len(edge_solid) != n or len(vertex_member) != n:
+            raise ValueError(
+                f"a {n}-vertex cell needs {n} edge and {n} vertex flags, "
+                f"got {len(edge_solid)} and {len(vertex_member)}"
+            )
         if _signed_area2(vertices) < 0:
             # reversing vertex order: edge i (v_i -> v_{i+1}) becomes the
             # edge between reversed positions n-1-i-1 and n-1-i
@@ -319,41 +323,26 @@ class Cell:
         }
 
 
-def frame_cell(bound: Fraction = FRAME_BOUND) -> Cell:
-    b = Fraction(bound)
-    vs = [QComplex.make(-b, -b), QComplex.make(b, -b), QComplex.make(b, b), QComplex.make(-b, b)]
-    return Cell.from_closure(vs, [])
+_FRAME = (
+    QComplex.make(-FRAME_BOUND, -FRAME_BOUND),
+    QComplex.make(FRAME_BOUND, -FRAME_BOUND),
+    QComplex.make(FRAME_BOUND, FRAME_BOUND),
+    QComplex.make(-FRAME_BOUND, FRAME_BOUND),
+)
 
 
-def _frame_poly(bound: Fraction):
-    b = Fraction(bound)
-    return [QComplex.make(-b, -b), QComplex.make(b, -b), QComplex.make(b, b), QComplex.make(-b, b)]
+def intersect_halfplanes(hs, start_poly=None) -> Cell:
+    """Canonical cell for start_poly ∩ ⋂hs.
 
-
-def intersect_halfplanes(hs, frame=None, start_poly=None) -> Cell:
-    """Canonical cell for frame ∩ ⋂hs.
-
-    The frame (default the [-2, 2]^2 box) guarantees boundedness; strictness
-    bookkeeping is exact.
+    The default start polygon, the [-2, 2]^2 frame, guarantees boundedness;
+    strictness bookkeeping is exact.
     """
-    if start_poly is None:
-        if frame is None:
-            start_poly = _frame_poly(FRAME_BOUND)
-        elif isinstance(frame, Cell):
-            start_poly = list(frame.vertices)
-            hs = list(frame.constraints) + list(hs)
-        else:
-            start_poly = _frame_poly(frame)
-    poly = list(start_poly)
+    poly = list(_FRAME if start_poly is None else start_poly)
     for h in hs:
         poly = _clip(poly, h)
         if not poly:
             return Cell.empty()
     return Cell.from_closure(poly, hs)
-
-
-def cell_contains(c: Cell, p: QComplex) -> bool:
-    return c.contains(p)
 
 
 def _split_out(cell: Cell, cover: Cell):
@@ -364,18 +353,11 @@ def _split_out(cell: Cell, cover: Cell):
     kept = []
     base = list(cell.constraints)
     for h in cover.constraints:
-        piece = intersect_halfplanes(
-            kept + [h.complement()],
-            start_poly=list(cell.vertices) if not cell.is_empty() else [],
-        )
+        # the cell's own constraints leave a polygon inside its closure
+        # unchanged; they only contribute strictness to the flags
+        piece = intersect_halfplanes(kept + [h.complement()] + base, start_poly=cell.vertices)
         if not piece.is_empty():
-            # re-evaluate flags against the full constraint system
-            piece = intersect_halfplanes(
-                base + kept + [h.complement()],
-                start_poly=list(cell.vertices),
-            )
-            if not piece.is_empty():
-                pieces.append(piece)
+            pieces.append(piece)
         kept.append(h)
     return pieces
 
@@ -392,20 +374,6 @@ def subtract_cover(target: Cell, covers) -> list:
         if not residuals:
             break
     return residuals
-
-
-def _segment_min_norm2(u: QComplex, v: QComplex) -> Fraction:
-    dx, dy = v.re - u.re, v.im - u.im
-    dd = dx * dx + dy * dy
-    if dd == 0:
-        return u.norm2()
-    t = -(u.re * dx + u.im * dy) / dd
-    if t <= 0:
-        return u.norm2()
-    if t >= 1:
-        return v.norm2()
-    p = QComplex(u.re + dx * t, u.im + dy * t)
-    return p.norm2()
 
 
 def _segment_min_point(u: QComplex, v: QComplex) -> QComplex:
@@ -431,13 +399,10 @@ def disk_relation(c: Cell) -> str:
     if all(p.norm2() < 1 for p in verts):
         return "inside"
     n = len(verts)
-    if n == 1:
-        closest = [verts[0]]
-    else:
-        closest = [
-            _segment_min_point(verts[i], verts[(i + 1) % n])
-            for i in range(n if n > 2 else 1)
-        ]
+    closest = [
+        _segment_min_point(verts[i], verts[(i + 1) % n])
+        for i in range(n if n > 2 else 1)
+    ]
     mind = min(p.norm2() for p in closest)
     if mind > 1:
         return "outside"
@@ -456,31 +421,8 @@ def closures_intersect(c1: Cell, c2: Cell) -> bool:
     if c1.is_empty() or c2.is_empty():
         return False
     poly = list(c1.vertices)
-    if len(poly) == 1:
-        p = poly[0]
-        return all(h.eval(p) >= 0 for h in c2.constraints)
     for h in c2.constraints:
         poly = _clip(poly, h)
         if not poly:
             return False
     return True
-
-
-def disk_separation(c: Cell) -> str:
-    """'inside', 'outside' or 'meets' relative to the closed unit disk,
-    decided on the closure of c with exact comparisons."""
-    if c.is_empty():
-        raise ValueError("empty cell")
-    n = len(c.vertices)
-    if all(p.norm2() < 1 for p in c.vertices):
-        return "inside"
-    if n == 1:
-        mind = c.vertices[0].norm2()
-    else:
-        mind = min(
-            _segment_min_norm2(c.vertices[i], c.vertices[(i + 1) % n])
-            for i in range(n if n > 2 else 1)
-        )
-    if mind > 1:
-        return "outside"
-    return "meets"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 from .exact import QComplex, format_rational
 from .geometry import Cell, HalfPlane, intersect_halfplanes
@@ -188,7 +188,7 @@ def _ray_hits(d: QComplex, chain: BoundaryChain):
     return out
 
 
-def region_contains(p: QComplex, n_pikes_hint: Optional[int] = None) -> bool:
+def region_contains(p: QComplex) -> bool:
     """Exact membership in the region (symmetric across the real axis).
 
     The region is star shaped with respect to the origin and its boundary
@@ -203,7 +203,7 @@ def region_contains(p: QComplex, n_pikes_hint: Optional[int] = None) -> bool:
         return b < 1  # the solid imaginary-axis edge, tip excluded
     if b == 0:
         return a < 1  # on-axis interior; the limit point (1, 0) is excluded
-    depth = max(REGULAR_START, int(a / b) + 2, n_pikes_hint or 0)
+    depth = max(REGULAR_START, int(a / b) + 2)
     chain = boundary_chain(depth)
     hits = _ray_hits(QComplex(a, b), chain)
     c_max = max(c for c, _ in hits)
@@ -392,11 +392,6 @@ def area_estimate(n_pikes: int, precision_bits: int = 256) -> Tuple[Fraction, Fr
     tail_lo = r2_min * (s - s ** 3 / 3) / 2
     tail_hi = r2_max * s / 2
     return 2 * (fan_lo + tail_lo), 2 * (fan_hi + tail_hi)
-
-
-def edge_length_sq(u: QComplex, v: QComplex) -> Fraction:
-    dx, dy = v.re - u.re, v.im - u.im
-    return dx * dx + dy * dy
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ critical-point analysis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .cutout import cycle_polygon, witness_polyhedron
 from .dynamics import (
-    Cycle,
     GaussianInt,
     ORBIT_BUDGET_DEFAULT,
     WITNESS_BUDGET_DEFAULT,
@@ -28,16 +27,14 @@ from .dynamics import (
     orbit,
     witness_graph,
 )
-from .exact import QComplex, GI_ZERO
+from .exact import QComplex
 from .families import (
-    FamilyInstance,
     PREFIX_INSTANCES,
     all_selection_instances,
-    expand_generators,
     instance_cycle,
     selection,
 )
-from .geometry import Cell, HalfPlane, closures_intersect, disk_relation, subtract_cover
+from .geometry import Cell, closures_intersect, disk_relation, subtract_cover
 from .region import local_gc_cells, prefix_gc_cells, prefix_window, sector_window
 
 PREFIX_FAMILY_N_MAX = 12

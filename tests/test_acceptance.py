@@ -7,7 +7,7 @@ One test per acceptance criterion:
  4. the irregular head window is covered;
  5. the core flood fill tiles radius 1/4 with finite tiles only;
  6. perimeter bracket (width <= 1e-3) plus the exact spike-length term;
- 7. area bracket (width <= 1e-6);
+ 7. area bracket (width <= 1e-6, and <= 1e-13 at 64,000 pikes);
  8. shrinking-orbit, displacement-rule and rotation checks;
  9. the finiteness decision agrees with region membership where verified;
 10. randomized subtraction/coverage audits at 10^4 probes per campaign.
@@ -28,7 +28,6 @@ from gsrs.families import (
 from gsrs.geometry import subtract_cover
 from gsrs.region import (
     area_estimate,
-    edge_length_sq,
     local_gc_cells,
     perimeter_estimate,
     prefix_gc_cells,
@@ -47,8 +46,18 @@ from gsrs.verify import (
     verify_sector,
 )
 
+# The published constants are printed to 13 decimals, so each stands for
+# the interval [C - 1e-13, C + 1e-13]: the printed area lies 4.2e-14 below
+# the low end of the 64,000-pike area bracket.
 PERIMETER = Fraction(70317015814551, 10**13)
 AREA = Fraction(11616244963841, 10**13)
+PRINTED_ULP = Fraction(1, 10**13)
+
+
+def meets_printed(lo, hi, constant):
+    """Whether the bracket [lo, hi] meets the interval a 13-decimal
+    constant stands for."""
+    return lo <= constant + PRINTED_ULP and constant - PRINTED_ULP <= hi
 
 
 def test_criterion_1_explicit_cutouts_match_catalog():
@@ -94,17 +103,20 @@ def test_criterion_5_core_tiles_finite():
 def test_criterion_6_perimeter_bracket():
     lo, hi = perimeter_estimate(10**5, 256)
     assert hi - lo <= Fraction(1, 1000)
-    assert lo <= PERIMETER <= hi
+    assert meets_printed(lo, hi, PERIMETER)
     # per-edge spot check: the radial spike length term
     for n in range(8, 101):
         a, b = n * n + 1, n * n + n + 1
-        assert edge_length_sq(vertex(5, n), vertex(6, n)) == Fraction(a, (a * b) ** 2)
+        assert (vertex(6, n) - vertex(5, n)).norm2() == Fraction(a, (a * b) ** 2)
 
 
 def test_criterion_7_area_bracket():
     lo, hi = area_estimate(10**4, 256)
     assert hi - lo <= Fraction(1, 10**6)
-    assert lo <= AREA <= hi
+    assert meets_printed(lo, hi, AREA)
+    lo, hi = area_estimate(64000, 256)
+    assert hi - lo <= Fraction(1, 10**13)
+    assert meets_printed(lo, hi, AREA)
 
 
 def _admissible_parameters(n, count, rng):

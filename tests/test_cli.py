@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,30 @@ def test_critical_check_circle_sweep(capsys):
     assert data["steps"] and all(entry["ok"] for entry in data["steps"])
 
 
+# Exit code and SHA-256 of stdout for fixed invocations.  A change that
+# alters any output byte of these campaigns has to update a digest here.
+GOLDEN = [
+    (("verify-sector", "--n-lo", "7", "--n-hi", "7"), 0,
+     "400b4395022c0d7f305d7c5aae05929ce929efefd9e204e074282af5882bdf56"),
+    (("verify-tiles", "--radius", "1/8"), 0,
+     "2b34e504897959aa353e3498f4db66a4b1176147fcb4e2d27577ffb76d070d78"),
+    (("family-check", "--n-max", "8"), 0,
+     "02ce02d0ddc92430db22960eacba9a97c0b623ebc08325499ec9bf353625d427"),
+    (("cutout", "--family", "19", "--n", "10", "--m", "1"), 0,
+     "b9a712ca8cb4d856277a5bd4482e316308ba742e7e76cb3eb4ef033573ec90ca"),
+    (("witnesses", "--r", "1/3,1/5"), 0,
+     "da21b88be4ffa92b2125523aef8bf3fc65c0f078a0f4a41345cd2f35625bcda3"),
+    (("measure", "--pikes", "50", "--bits", "64"), 0,
+     "9dcfa866ee0ddc260f2cf54cc8382a80cbd79bb0add41328643d0a1e2f3ee5db"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[argv[0] for argv, _, _ in GOLDEN])
+def test_golden_output(capsys, argv, code, digest):
+    got_code, out = run(capsys, *argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_byte_identical_output(capsys):
     _, out1 = run(capsys, "witnesses", "--r", "2/5,1/5")
     _, out2 = run(capsys, "witnesses", "--r", "2/5,1/5")
@@ -127,6 +152,10 @@ def test_domain_error_exits_2(capsys):
     code = main(["verify-sector", "--n-lo", "6", "--n-hi", "6"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+    for window in ("1,2,3", "0,0,0,0", "1/0,0,1,1"):
+        code = main(["boundary-svg", "--pikes", "9", "--window", window])
+        assert code == 2, window
+        assert "error" in capsys.readouterr().err
 
 
 def test_verification_failure_exits_1(capsys):

@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 from gsrs.cutout import (
     cycle_polygon,
     floor_constraints,
-    per_witness_cell,
+    witness_constraints,
     witness_polyhedron,
 )
-from gsrs.dynamics import Cycle, decide_finiteness, witness_graph
+from gsrs.dynamics import decide_finiteness, witness_graph
 from gsrs.exact import GaussianInt, QComplex, complex_floor, qc_mul
 from gsrs.families import FamilyInstance, instance_cycle
+from gsrs.geometry import intersect_halfplanes
 
 params = st.builds(
     QComplex,
@@ -78,7 +79,7 @@ def test_witness_polyhedron_contains_parameter():
         assert cell.contains(r)
         # the full polyhedron refines every single witness's cell
         for a in g.vertices:
-            assert per_witness_cell(g, a).contains(r)
+            assert intersect_halfplanes(witness_constraints(g, a)).contains(r)
 
 
 def test_witness_polyhedron_parameters_share_graph():
@@ -88,7 +89,7 @@ def test_witness_polyhedron_parameters_share_graph():
     p = cell.interior_point()
     g2 = witness_graph(p)
     assert g2.vertices == g.vertices
-    assert g2.edge_sets() == g.edge_sets()
+    assert g2.edges == g.edges
 
 
 def test_infinite_verdict_cycle_cuts_out_parameter():

@@ -12,7 +12,6 @@ from gsrs.families import (
     FamilyInstance,
     PREFIX_INSTANCES,
     all_selection_instances,
-    expand_generators,
     expected_cutout,
     instance_cycle,
     is_valid,
@@ -38,7 +37,7 @@ def test_is_valid_examples():
 
 def test_expand_rejects_invalid():
     with pytest.raises(ValueError):
-        expand_generators(FamilyInstance(1, 2, 0))
+        instance_cycle(FamilyInstance(1, 2, 0))
     with pytest.raises(ValueError):
         is_valid(FamilyInstance(20, 5, 0))
 
@@ -62,7 +61,7 @@ def test_explicit_cycles_are_realized():
 
 def test_family_expansion_sample_cycles_are_realized():
     for inst in all_selection_instances(8, 10):
-        cyc = expand_generators(inst)
+        cyc = instance_cycle(inst)
         cell = cycle_polygon(cyc)
         assert not cell.is_empty(), f"{inst} cuts out nothing"
         r = cell.interior_point()

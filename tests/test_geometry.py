@@ -12,8 +12,6 @@ from gsrs.geometry import (
     HalfPlane,
     closures_intersect,
     disk_relation,
-    disk_separation,
-    frame_cell,
     intersect_halfplanes,
     subtract_cover,
 )
@@ -21,6 +19,11 @@ from gsrs.geometry import (
 
 def qc(x, y):
     return QComplex.make(Fraction(x), Fraction(y))
+
+
+def square(b):
+    """The closed square [-b, b]^2."""
+    return Cell.from_closure([qc(-b, -b), qc(b, -b), qc(b, b), qc(-b, b)], [])
 
 
 def test_halfplane_normalization():
@@ -124,6 +127,14 @@ def test_from_markup_canonicalizes():
     assert a == b
 
 
+def test_from_markup_rejects_mismatched_flags():
+    tri = [qc(0, 0), qc(1, 0), qc(0, 1)]
+    with pytest.raises(ValueError):
+        Cell.from_markup(tri, [True, True], [True, True, True])
+    with pytest.raises(ValueError):
+        Cell.from_markup(tri, [True, True, True], [True, True])
+
+
 # -- subtraction ------------------------------------------------------------
 
 def _random_point(rng, lo=-2, hi=2):
@@ -148,7 +159,7 @@ def _random_cover(rng):
 
 def test_subtract_cover_probe_consistency():
     rng = random.Random(11)
-    target = frame_cell(Fraction(3, 2))
+    target = square(Fraction(3, 2))
     for trial in range(20):
         covers = [_random_cover(rng) for _ in range(3)]
         residuals = subtract_cover(target, covers)
@@ -161,7 +172,7 @@ def test_subtract_cover_probe_consistency():
 
 
 def test_subtract_cover_empty_and_total():
-    target = frame_cell(1)
+    target = square(1)
     assert subtract_cover(target, [target]) == []
     assert subtract_cover(target, [Cell.empty()]) == [target]
     assert subtract_cover(Cell.empty(), [target]) == []
@@ -182,7 +193,6 @@ def test_disk_relation_half_open_touch():
     # a segment whose closure touches the circle only at an excluded endpoint
     seg_excl = Cell.from_markup([qc(1, 0), qc(2, 0)], [True], [False, True])
     assert disk_relation(seg_excl) == "outside"
-    assert disk_separation(seg_excl) == "meets"
     seg_incl = Cell.from_markup([qc(1, 0), qc(2, 0)], [True], [True, True])
     assert disk_relation(seg_incl) == "meets"
 

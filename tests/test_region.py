@@ -11,7 +11,6 @@ from gsrs.region import (
     boundary_chain,
     boundary_svg,
     cells_svg_overlay,
-    edge_length_sq,
     local_gc_cells,
     measure_json,
     perimeter_estimate,
@@ -62,7 +61,7 @@ def test_radial_spike_slopes():
 def test_spike_length_closed_form():
     # |P_5(n) - P_6(n)|^2 = (n^2+1) / ((n^2+1)(n^2+n+1))^2
     for n in range(8, 101):
-        d2 = edge_length_sq(vertex(5, n), vertex(6, n))
+        d2 = (vertex(6, n) - vertex(5, n)).norm2()
         a, b = n * n + 1, n * n + n + 1
         assert d2 == Fraction(a, (a * b) ** 2)
 
