@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification subcommand reports a
-failure, 2 on usage errors (argparse's convention).  All JSON output is
-emitted with sorted keys so identical invocations are byte-identical.
+failure, 2 on usage errors (argparse's convention), on bad input and on an
+exceeded budget.  All JSON output is emitted with sorted keys so identical
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from .cutout import cycle_polygon, witness_polyhedron
 from .dynamics import (
     ORBIT_BUDGET_DEFAULT,
     WITNESS_BUDGET_DEFAULT,
+    BudgetExceeded,
     decide_finiteness,
     orbit,
     witness_graph,
+    witness_order,
 )
 from .exact import GaussianInt, QComplex
 from .families import (
@@ -102,7 +105,7 @@ def _cmd_witnesses(args) -> int:
     _emit(
         {
             "parameter": args.r.as_strings(),
-            "vertices": [[a.re, a.im] for a in sorted(g.vertices, key=lambda v: (v.norm2(), v.re, v.im))],
+            "vertices": [[a.re, a.im] for a in witness_order(g.vertices)],
             "cell": witness_polyhedron(g).to_json(),
         }
     )
@@ -175,7 +178,7 @@ def _cmd_verify_sector(args) -> int:
     reports = []
     families = set(args.families) if args.families else None
     for n in range(args.n_lo, args.n_hi + 1):
-        rep = verify_sector(n, families=families, spread=args.spread)
+        rep = verify_sector(n, families=families)
         reports.append(rep.to_json())
         if rep.verdict != "covered":
             status = 1
@@ -184,7 +187,7 @@ def _cmd_verify_sector(args) -> int:
 
 
 def _cmd_verify_prefix(args) -> int:
-    rep = verify_prefix(args.n_max)
+    rep = verify_prefix()
     _emit(rep.to_json())
     return 0 if rep.verdict == "covered" else 1
 
@@ -268,11 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify-sector", _cmd_verify_sector, help="exterior coverage of regular sectors")
     sp.add_argument("--n-lo", type=int, default=7)
     sp.add_argument("--n-hi", type=int, default=30)
-    sp.add_argument("--spread", type=int, default=4)
     sp.add_argument("--families", type=int, nargs="*", default=None)
 
-    sp = add("verify-prefix", _cmd_verify_prefix, help="exterior coverage of the irregular head")
-    sp.add_argument("--n-max", type=int, default=12)
+    add("verify-prefix", _cmd_verify_prefix, help="exterior coverage of the irregular head")
 
     sp = add("verify-tiles", _cmd_verify_tiles, help="witness-tile flood fill of the core")
     sp.add_argument("--radius", type=_parse_fraction, default=Fraction(1, 4))
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ each of the variant maps.
 
 from __future__ import annotations
 
-from .dynamics import Cycle, WitnessGraph
+from .dynamics import Cycle, WitnessGraph, witness_order
 from .exact import GaussianInt
 from .geometry import Cell, HalfPlane, intersect_halfplanes
 
@@ -59,6 +59,6 @@ def witness_constraints(g: WitnessGraph, a: GaussianInt):
 def witness_polyhedron(g: WitnessGraph) -> Cell:
     """The parameter cell on which the entire witness graph is realized."""
     hs = []
-    for a in sorted(g.vertices, key=lambda v: (v.norm2(), v.re, v.im)):
+    for a in witness_order(g.vertices):
         hs.extend(witness_constraints(g, a))
     return intersect_halfplanes(hs)

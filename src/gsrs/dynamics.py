@@ -125,28 +125,6 @@ def orbit(r: QComplex, a: GaussianInt, budget: int = ORBIT_BUDGET_DEFAULT) -> Or
     return OrbitResult("budget")
 
 
-def brunotte_witnesses(r: QComplex, size_budget: int = WITNESS_BUDGET_DEFAULT) -> set:
-    """Brunotte's iteration: close V_0 = {1, -1, i, -i} under the four
-    variants, breadth-first, until stationary.
-
-    Termination is guaranteed for |r| < 1; raises BudgetExceeded when the
-    set grows past size_budget.
-    """
-    v0 = [GaussianInt(1, 0), GaussianInt(-1, 0), GaussianInt(0, 1), GaussianInt(0, -1)]
-    witnesses = set(v0)
-    queue = list(v0)
-    while queue:
-        a = queue.pop()
-        for i in (1, 2, 3, 4):
-            b = gamma_variant(i, r, a)
-            if b not in witnesses:
-                witnesses.add(b)
-                queue.append(b)
-                if len(witnesses) > size_budget:
-                    raise BudgetExceeded(f"witness set passed {size_budget} elements")
-    return witnesses
-
-
 @dataclass
 class WitnessGraph:
     """Colored functional graph of the four variants on a witness set."""
@@ -160,9 +138,39 @@ class WitnessGraph:
 
 
 def witness_graph(r: QComplex, size_budget: int = WITNESS_BUDGET_DEFAULT) -> WitnessGraph:
-    vertices = brunotte_witnesses(r, size_budget)
-    edges = tuple({a: gamma_variant(i, r, a) for a in vertices} for i in (1, 2, 3, 4))
-    return WitnessGraph(r=r, vertices=vertices, edges=edges)
+    """Brunotte's iteration: close V_0 = {1, -1, i, -i} under the four
+    variants, breadth-first, until stationary, recording every image as
+    an edge of the graph.
+
+    Termination is guaranteed for |r| < 1; raises BudgetExceeded when the
+    set grows past size_budget.
+    """
+    v0 = [GaussianInt(1, 0), GaussianInt(-1, 0), GaussianInt(0, 1), GaussianInt(0, -1)]
+    witnesses = set(v0)
+    edges = ({}, {}, {}, {})
+    queue = list(v0)
+    while queue:
+        a = queue.pop()
+        for i, images in zip((1, 2, 3, 4), edges):
+            b = gamma_variant(i, r, a)
+            images[a] = b
+            if b not in witnesses:
+                witnesses.add(b)
+                queue.append(b)
+                if len(witnesses) > size_budget:
+                    raise BudgetExceeded(f"witness set passed {size_budget} elements")
+    return WitnessGraph(r=r, vertices=witnesses, edges=edges)
+
+
+def brunotte_witnesses(r: QComplex, size_budget: int = WITNESS_BUDGET_DEFAULT) -> set:
+    """The vertex set of the witness graph at r."""
+    return witness_graph(r, size_budget).vertices
+
+
+def witness_order(witnesses) -> list:
+    """Witnesses sorted by (norm2, re, im), the one order in which orbits
+    are checked, constraints listed and vertices printed."""
+    return sorted(witnesses, key=lambda g: (g.norm2(), g.re, g.im))
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,7 @@ def decide_finiteness(
         witnesses = brunotte_witnesses(r, size_budget)
     except BudgetExceeded:
         return FinitenessResult("unknown")
-    for a in sorted(witnesses, key=lambda g: (g.norm2(), g.re, g.im)):
+    for a in witness_order(witnesses):
         res = orbit(r, a, orbit_budget)
         if res.outcome == "budget":
             return FinitenessResult("unknown")

@@ -11,6 +11,7 @@ cross-checked case by case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from .exact import GaussianInt, QComplex
 from .geometry import Cell
 
 N_MAX_DEFAULT = 30
+SELECTION_SPREAD = 4  # sector n draws on selection instances with parameter n +- 4
 
 
 # -- generator calculus ----------------------------------------------------
@@ -482,11 +484,7 @@ def _mk_cell(chain):
             del verts[i], overs[i], marks[i]
         else:
             i += 1
-    if len(verts) == 1:
-        return Cell.from_markup(verts, (), (overs[0],))
-    if len(verts) == 2:
-        return Cell.from_markup(verts, (marks[0],), tuple(overs))
-    return Cell.from_markup(verts, tuple(marks), tuple(overs))
+    return Cell.from_markup(verts, marks, overs)
 
 
 def expected_cutout(inst: FamilyInstance) -> Cell:
@@ -876,7 +874,6 @@ def _selection_m_range(f: int, n: int):
     n_min, lo, hi = table[f]
     if n < n_min:
         return None
-    import math
     m_lo = math.ceil(lo)
     m_hi = math.floor(hi)
     if m_lo > m_hi:
@@ -891,7 +888,7 @@ PREFIX_INSTANCES = (
 )
 
 
-def selection(n: int, spread: int = 4):
+def selection(n: int):
     """Selection-table instances relevant near sector n (a superset of the
     instances whose cutout meets the sector's window; extra cells are
     harmless to coverage verification)."""
@@ -899,8 +896,9 @@ def selection(n: int, spread: int = 4):
         raise ValueError("regular sectors start at n = 7")
     # Windows abutting the irregular head also need the fixed head
     # instances; extra cover cells are harmless.
-    head = list(PREFIX_INSTANCES) if n - spread <= 6 else []
-    return head + all_selection_instances(max(1, n - spread), n + spread)
+    lo, hi = n - SELECTION_SPREAD, n + SELECTION_SPREAD
+    head = list(PREFIX_INSTANCES) if lo <= 6 else []
+    return head + all_selection_instances(max(1, lo), hi)
 
 
 def all_selection_instances(n_lo: int, n_hi: int):

@@ -60,11 +60,22 @@ def _cross(o: QComplex, u: QComplex, v: QComplex) -> Fraction:
     return (u.re - o.re) * (v.im - o.im) - (u.im - o.im) * (v.re - o.re)
 
 
+def _midpoint(p: QComplex, q: QComplex) -> QComplex:
+    return QComplex((p.re + q.re) / 2, (p.im + q.im) / 2)
+
+
+def line_through(u: QComplex, v: QComplex):
+    """Raw coefficients (a, b, c) of the line through u and v, oriented so
+    that a*x + b*y + c > 0 exactly on the left of u -> v.  The normal
+    (a, b) is u -> v turned a quarter left, unnormalised."""
+    a = u.im - v.im
+    b = v.re - u.re
+    return a, b, -(a * u.re + b * u.im)
+
+
 def _clip(poly, h: HalfPlane):
     """Sutherland-Hodgman clip of a (possibly degenerate) closed vertex list
     by the closure {f >= 0} of h.  Exact; points on the line are kept."""
-    if not poly:
-        return []
     out = []
     n = len(poly)
     vals = [h.a * p.re + h.b * p.im + h.c for p in poly]
@@ -86,6 +97,16 @@ def _clip(poly, h: HalfPlane):
     return dedup
 
 
+def _clip_all(poly, hs):
+    """`poly` clipped by the closure of every half-plane in hs in turn;
+    empty as soon as one clip empties it."""
+    for h in hs:
+        poly = _clip(poly, h)
+        if not poly:
+            return []
+    return poly
+
+
 def _simplify_closure(poly):
     """Remove collinear intermediate vertices; returns distinct extreme
     points in original orientation."""
@@ -101,13 +122,12 @@ def _simplify_closure(poly):
         prev, cur, nxt = pts[i - 1], pts[i], pts[(i + 1) % n]
         if _cross(prev, cur, nxt) != 0:
             out.append(cur)
-    if len(out) == 2 and len(pts) > 2:
-        # fully collinear ring: keep the two extremes
+    if not out:
+        # fully collinear ring (a ring that turns anywhere turns at three
+        # vertices at least): keep the two extremes
         lo = min(pts, key=lambda p: (p.re, p.im))
         hi = max(pts, key=lambda p: (p.re, p.im))
         return [lo, hi]
-    if not out:
-        return [pts[0]]
     return out
 
 
@@ -161,47 +181,34 @@ class Cell:
         """Build the canonical cell whose closure is `poly` and whose
         strictness bookkeeping comes from evaluating `constraints`."""
         poly = _simplify_closure(poly)
-        if not poly:
-            return Cell.empty()
         strict = [h for h in constraints if h.strict]
 
         def member(p):
             return all(h.eval(p) > 0 for h in strict)
 
-        if len(poly) == 1:
-            p = poly[0]
-            if not member(p):
-                return Cell.empty()
-            return Cell((p,), (), (True,))
-        if len(poly) == 2:
-            lo = min(poly, key=lambda p: (p.re, p.im))
-            hi = max(poly, key=lambda p: (p.re, p.im))
-            mid = QComplex((lo.re + hi.re) / 2, (lo.im + hi.im) / 2)
-            if not member(mid):
-                return Cell.empty()
-            return Cell((lo, hi), (True,), (member(lo), member(hi)))
-        if _signed_area2(poly) < 0:
-            poly.reverse()
-        k = min(range(len(poly)), key=lambda i: (poly[i].re, poly[i].im))
-        poly = poly[k:] + poly[:k]
         n = len(poly)
-        edge_solid = []
-        for i in range(n):
-            p, q = poly[i], poly[(i + 1) % n]
-            mid = QComplex((p.re + q.re) / 2, (p.im + q.im) / 2)
-            edge_solid.append(member(mid))
-        vertex_member = [member(p) for p in poly]
-        return Cell(tuple(poly), tuple(edge_solid), tuple(vertex_member))
+        edge_solid = [member(_midpoint(poly[i], poly[(i + 1) % n])) for i in range(n)]
+        return Cell.from_markup(poly, edge_solid, [member(p) for p in poly])
 
     @staticmethod
     def from_markup(vertices, edge_solid, vertex_member) -> "Cell":
         """Build a cell directly from a vertex/edge/vertex-flag description
         (e.g. a transcribed boundary listing).  Canonicalizes orientation
-        and starting vertex."""
+        and starting vertex.
+
+        edge_solid[i] is the flag of the edge from vertex i to vertex i+1,
+        cyclically; a point's edge and a segment's closing edge add nothing
+        and may be left out."""
         vertices = list(vertices)
         edge_solid = list(edge_solid)
         vertex_member = list(vertex_member)
         n = len(vertices)
+        min_edges = n if n > 2 else n - 1
+        if len(vertex_member) != n or not min_edges <= len(edge_solid) <= n:
+            raise ValueError(
+                f"a {n}-vertex cell needs {n} edge and {n} vertex flags, "
+                f"got {len(edge_solid)} and {len(vertex_member)}"
+            )
         if n == 0:
             return Cell.empty()
         if n == 1:
@@ -220,11 +227,6 @@ class Cell:
                 vertices.reverse()
                 vertex_member.reverse()
             return Cell(tuple(vertices), (True,), tuple(vertex_member))
-        if len(edge_solid) != n or len(vertex_member) != n:
-            raise ValueError(
-                f"a {n}-vertex cell needs {n} edge and {n} vertex flags, "
-                f"got {len(edge_solid)} and {len(vertex_member)}"
-            )
         if _signed_area2(vertices) < 0:
             # reversing vertex order: edge i (v_i -> v_{i+1}) becomes the
             # edge between reversed positions n-1-i-1 and n-1-i
@@ -255,9 +257,9 @@ class Cell:
             )
         if n == 2:
             p, q = self.vertices
-            dx, dy = q.re - p.re, q.im - p.im
-            line = HalfPlane.make(-dy, dx, dy * p.re - dx * p.im)
-            out = [line, HalfPlane.make(dy, -dx, dx * p.im - dy * p.re)]
+            a, b, c = line_through(p, q)
+            dx, dy = b, -a  # direction p -> q
+            out = [HalfPlane.make(a, b, c), HalfPlane.make(-a, -b, -c)]
             out.append(
                 HalfPlane.make(dx, dy, -(dx * p.re + dy * p.im), not self.vertex_member[0])
             )
@@ -268,10 +270,7 @@ class Cell:
         out = []
         normals = []
         for i in range(n):
-            u, v = self.vertices[i], self.vertices[(i + 1) % n]
-            a = -(v.im - u.im)
-            b = v.re - u.re
-            c = -(a * u.re + b * u.im)
+            a, b, c = line_through(self.vertices[i], self.vertices[(i + 1) % n])
             normals.append((a, b))
             out.append(HalfPlane.make(a, b, c, not self.edge_solid[i]))
         for i in range(n):
@@ -308,8 +307,7 @@ class Cell:
         if n == 1:
             return self.vertices[0]
         if n == 2:
-            p, q = self.vertices
-            return QComplex((p.re + q.re) / 2, (p.im + q.im) / 2)
+            return _midpoint(*self.vertices)
         sx = sum(p.re for p in self.vertices)
         sy = sum(p.im for p in self.vertices)
         return QComplex(Fraction(sx, n), Fraction(sy, n))
@@ -337,12 +335,8 @@ def intersect_halfplanes(hs, start_poly=None) -> Cell:
     The default start polygon, the [-2, 2]^2 frame, guarantees boundedness;
     strictness bookkeeping is exact.
     """
-    poly = list(_FRAME if start_poly is None else start_poly)
-    for h in hs:
-        poly = _clip(poly, h)
-        if not poly:
-            return Cell.empty()
-    return Cell.from_closure(poly, hs)
+    poly = _clip_all(_FRAME if start_poly is None else start_poly, hs)
+    return Cell.from_closure(poly, hs) if poly else Cell.empty()
 
 
 def _split_out(cell: Cell, cover: Cell):
@@ -353,11 +347,14 @@ def _split_out(cell: Cell, cover: Cell):
     kept = []
     base = list(cell.constraints)
     for h in cover.constraints:
-        # the cell's own constraints leave a polygon inside its closure
-        # unchanged; they only contribute strictness to the flags
-        piece = intersect_halfplanes(kept + [h.complement()] + base, start_poly=cell.vertices)
-        if not piece.is_empty():
-            pieces.append(piece)
+        cut = kept + [h.complement()]
+        poly = _clip_all(cell.vertices, cut)
+        if poly:
+            # the cell's own constraints would leave a polygon inside its
+            # closure unchanged, so they only contribute strictness
+            piece = Cell.from_closure(poly, cut + base)
+            if not piece.is_empty():
+                pieces.append(piece)
         kept.append(h)
     return pieces
 
@@ -420,9 +417,4 @@ def closures_intersect(c1: Cell, c2: Cell) -> bool:
     """Whether the closures of two cells overlap (cheap pruning test)."""
     if c1.is_empty() or c2.is_empty():
         return False
-    poly = list(c1.vertices)
-    for h in c2.constraints:
-        poly = _clip(poly, h)
-        if not poly:
-            return False
-    return True
+    return bool(_clip_all(c1.vertices, c2.constraints))

@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Tuple
 
 from .exact import QComplex, format_rational
-from .geometry import Cell, HalfPlane, intersect_halfplanes
+from .geometry import Cell, HalfPlane, intersect_halfplanes, line_through
 
 REGULAR_START = 8  # first pike with the regular ten-vertex pattern
 
@@ -257,15 +257,13 @@ def _window_cells(window: Cell, chain: BoundaryChain):
                 cells.append(piece)
             continue
         # the side of the chain edge containing the origin
-        a = -(v.im - u.im)
-        b = v.re - u.re
-        c = -(a * u.re + b * u.im)
+        a, b, c = line_through(u, v)
         if c < 0:
             a, b, c = -a, -b, -c
         edge_h = HalfPlane.make(a, b, c, strict=not solid)
         helpers = []
         for w, other in ((u, v), (v, u)):
-            ha, hb = -w.im, w.re
+            ha, hb, _ = line_through(origin, w)
             if ha * other.re + hb * other.im < 0:
                 ha, hb = -ha, -hb
             helpers.append(HalfPlane.make(ha, hb, 0))

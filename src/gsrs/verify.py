@@ -26,6 +26,7 @@ from .dynamics import (
     gamma,
     orbit,
     witness_graph,
+    witness_order,
 )
 from .exact import QComplex
 from .families import (
@@ -113,21 +114,21 @@ def _coverage(sector, targets, instances) -> CoverageReport:
     return CoverageReport(sector, len(instances), residuals, verdict)
 
 
-def verify_sector(n: int, families: Optional[set] = None, spread: int = 4) -> CoverageReport:
+def verify_sector(n: int, families: Optional[set] = None) -> CoverageReport:
     """Coverage of sector n's window outside the region by the catalog
     selection.  `families` restricts which family numbers contribute
     (negative-control hook)."""
-    instances = selection(n, spread)
+    instances = selection(n)
     if families is not None:
         instances = [i for i in instances if i.family in families]
     targets = subtract_cover(sector_window(n), local_gc_cells(n))
     return _coverage(n, targets, instances)
 
 
-def verify_prefix(n_max: int = PREFIX_FAMILY_N_MAX) -> CoverageReport:
+def verify_prefix() -> CoverageReport:
     """Coverage of the irregular head window (slopes above 1/7) by the
     fixed prefix instances plus the low-parameter family instances."""
-    instances = list(PREFIX_INSTANCES) + all_selection_instances(1, n_max)
+    instances = list(PREFIX_INSTANCES) + all_selection_instances(1, PREFIX_FAMILY_N_MAX)
     targets = subtract_cover(prefix_window(), prefix_gc_cells())
     return _coverage("prefix", targets, instances)
 
@@ -178,7 +179,7 @@ def flood_fill_tiles(
         if not cell.contains(p):
             raise AssertionError("witness cell must contain its parameter")
         finite = True
-        for a in sorted(g.vertices, key=lambda v: (v.norm2(), v.re, v.im)):
+        for a in witness_order(g.vertices):
             res = orbit(p, a, orbit_budget)
             if res.outcome != "zero":
                 finite = False

@@ -156,6 +156,13 @@ def test_domain_error_exits_2(capsys):
         code = main(["boundary-svg", "--pikes", "9", "--window", window])
         assert code == 2, window
         assert "error" in capsys.readouterr().err
+    # an exceeded witness budget is a usage problem, not a failed verification
+    for argv in (
+        ["witnesses", "--r", "9/10,2/5", "--witness-budget", "10"],
+        ["verify-tiles", "--radius", "1/8", "--witness-budget", "3"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error" in capsys.readouterr().err
 
 
 def test_verification_failure_exits_1(capsys):

@@ -127,6 +127,58 @@ def test_from_markup_canonicalizes():
     assert a == b
 
 
+def _random_system(rng):
+    """A few random constraints, strict and non-strict; a non-strict
+    half-plane paired with its opposite pins a line, so the cells include
+    segments and points as well as polygons."""
+    hs = []
+    for _ in range(rng.randrange(1, 6)):
+        a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        if a == 0 and b == 0:
+            b = 1
+        c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        if rng.random() < 0.3:
+            hs += [HalfPlane.make(a, b, c), HalfPlane.make(-a, -b, -c)]
+        else:
+            hs.append(HalfPlane.make(a, b, c, strict=rng.random() < 0.5))
+    return hs
+
+
+def test_from_markup_reproduces_cells_from_every_entry():
+    rng = random.Random(7)
+    dims = set()
+    for _ in range(400):
+        cell = intersect_halfplanes(_random_system(rng))
+        if cell.is_empty():
+            continue
+        dims.add(cell.dim)
+        vs, es, ms = cell.vertices, cell.edge_solid, cell.vertex_member
+        assert Cell.from_markup(vs, es, ms) == cell
+        n = len(vs)
+        # the full ring: a segment's closing edge is its one open edge
+        # again, a point's edge is the point itself
+        ring = es if n > 2 else (True,) * n
+        rev_vs = vs[::-1]
+        rev_ms = ms[::-1]
+        # reversed edge j joins original vertices n-1-j and n-2-j
+        rev_es = tuple(ring[(n - 2 - j) % n] for j in range(n))
+        for v, e, m in ((vs, ring, ms), (rev_vs, rev_es, rev_ms)):
+            for k in range(n):
+                entry = (v[k:] + v[:k], e[k:] + e[:k], m[k:] + m[:k])
+                assert Cell.from_markup(*entry) == cell, entry
+    assert dims == {0, 1, 2}
+
+
+def test_collinear_ring_keeps_its_segment():
+    # a clip along an edge of a start polygon with a collinear vertex on
+    # that edge leaves three collinear points: the segment between the
+    # outer two, not the first point
+    start = [qc(0, 0), qc(1, 0), qc(2, 0), qc(2, 2), qc(0, 2)]
+    seg = intersect_halfplanes([HalfPlane.make(0, -1, 0)], start_poly=start)
+    assert seg == Cell((qc(0, 0), qc(2, 0)), (True,), (True, True))
+    assert Cell.from_closure([qc(0, 0), qc(1, 0), qc(2, 0)], []) == seg
+
+
 def test_from_markup_rejects_mismatched_flags():
     tri = [qc(0, 0), qc(1, 0), qc(0, 1)]
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Every name a gsrs module imports is used in that module."""
+"""Every name a gsrs module imports is used in that module, and every
+module-level private function is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,44 @@ def test_unused_imports_detects_dead_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_functions(sources: dict) -> list:
+    """`module.name` of each module-level `_private` function in `sources`
+    (module name -> source text) that no code in `sources` references
+    outside the function's own definition."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    private = [
+        (mod, node.name)
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs) and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = top.name if isinstance(top, defs) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted(f"{mod}.{name}" for mod, name in private if name not in used)
+
+
+def test_dead_private_functions_detects_orphans():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _orphan():\n    return _orphan()\n\ndef __dunder__():\n    pass\n",
+        "b": "from . import a\n\ndef f():\n    return a._used()\n",
+    }
+    assert dead_private_functions(sources) == ["a._orphan"]
+
+
+def test_no_dead_private_functions():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert dead_private_functions(sources) == []
