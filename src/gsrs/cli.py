@@ -92,7 +92,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    res = decide_finiteness(args.r, args.witness_budget, args.orbit_budget)
+    res = decide_finiteness(args.r, args.witness_budget)
     out = {"verdict": res.verdict, "finite": res.verdict == "finite"}
     if res.witness_cycle is not None:
         out["cycle"] = res.witness_cycle.to_json()
@@ -193,7 +193,7 @@ def _cmd_verify_prefix(args) -> int:
 
 
 def _cmd_verify_tiles(args) -> int:
-    rep = flood_fill_tiles(args.radius, args.budget, args.witness_budget, args.orbit_budget)
+    rep = flood_fill_tiles(args.radius, args.budget, args.witness_budget)
     _emit(rep.to_json())
     return 0 if rep.verdict == "covered" else 1
 
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("decide", _cmd_decide, help="decide the finiteness property at r")
     sp.add_argument("--r", type=_parse_qc, required=True)
     sp.add_argument("--witness-budget", type=int, default=WITNESS_BUDGET_DEFAULT)
-    sp.add_argument("--orbit-budget", type=int, default=ORBIT_BUDGET_DEFAULT)
 
     sp = add("witnesses", _cmd_witnesses, help="witness graph and its parameter cell")
     sp.add_argument("--r", type=_parse_qc, required=True)
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=_parse_fraction, default=Fraction(1, 4))
     sp.add_argument("--budget", type=int, default=TILE_BUDGET_DEFAULT)
     sp.add_argument("--witness-budget", type=int, default=WITNESS_BUDGET_DEFAULT)
-    sp.add_argument("--orbit-budget", type=int, default=ORBIT_BUDGET_DEFAULT)
 
     sp = add("critical-check", _cmd_critical_check, help="shrinking-orbit, step-rule and rotation checks")
     sp.add_argument("--n", type=int, required=True)

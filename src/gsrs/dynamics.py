@@ -1,6 +1,6 @@
 """The Gaussian shift radix map, its signed/conjugated variants, orbits,
-Brunotte's witness-set algorithm and the finiteness decision, plus Gaussian
-numeration digits.
+Brunotte's witness-set algorithm and the finiteness decision read off the
+witness graph.
 
 All operations are pure; budgets are explicit because termination is only
 guaranteed for parameters strictly inside the unit disk.
@@ -9,7 +9,6 @@ guaranteed for parameters strictly inside the unit disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .exact import GaussianInt, GI_ZERO, QComplex, complex_floor, qc_mul
@@ -80,16 +79,6 @@ class Cycle:
         return Cycle.canonical(GaussianInt(int(a), int(b)) for a, b in data)
 
 
-def minimal_cycle(elems) -> Cycle:
-    """Canonical cycle with any repeated sub-rotation collapsed."""
-    elems = list(elems)
-    n = len(elems)
-    for p in range(1, n):
-        if n % p == 0 and all(elems[i] == elems[i % p] for i in range(n)):
-            return Cycle.canonical(elems[:p])
-    return Cycle.canonical(elems)
-
-
 @dataclass(frozen=True)
 class OrbitResult:
     outcome: str  # "zero" | "cycle" | "budget"
@@ -117,7 +106,7 @@ def orbit(r: QComplex, a: GaussianInt, budget: int = ORBIT_BUDGET_DEFAULT) -> Or
             start = seen[x]
             return OrbitResult(
                 "cycle",
-                cycle=minimal_cycle(path[start:]),
+                cycle=Cycle.canonical(path[start:]),
                 preperiod=start,
             )
         seen[x] = step
@@ -168,8 +157,8 @@ def brunotte_witnesses(r: QComplex, size_budget: int = WITNESS_BUDGET_DEFAULT) -
 
 
 def witness_order(witnesses) -> list:
-    """Witnesses sorted by (norm2, re, im), the one order in which orbits
-    are checked, constraints listed and vertices printed."""
+    """Witnesses sorted by (norm2, re, im), the one order in which they are
+    walked, constraints listed and vertices printed."""
     return sorted(witnesses, key=lambda g: (g.norm2(), g.re, g.im))
 
 
@@ -179,62 +168,41 @@ class FinitenessResult:
     witness_cycle: Optional[Cycle] = None
 
 
-def decide_finiteness(
-    r: QComplex,
-    size_budget: int = WITNESS_BUDGET_DEFAULT,
-    orbit_budget: int = ORBIT_BUDGET_DEFAULT,
-) -> FinitenessResult:
-    """Decide the finiteness property via a set of witnesses.
+def nontrivial_cycle(g: WitnessGraph) -> Optional[Cycle]:
+    """The first cycle other than {0} that gamma meets from the witnesses,
+    taken in witness order, or None when every witness reaches 0.
 
-    Finite iff every witness orbit reaches 0; an orbit entering a
-    nontrivial cycle yields that cycle as an explicit counterexample.
+    The walk follows the E1 edges of the graph; V is closed under gamma, so
+    it never leaves V and visits each vertex once.  Vertices already known
+    to reach 0 end a walk early.
+    """
+    step = g.edges[0]
+    reaches_zero = {GI_ZERO}
+    for a in witness_order(g.vertices):
+        path = {}  # vertex -> position on this walk
+        x = a
+        while x not in reaches_zero:
+            if x in path:
+                return Cycle.canonical(list(path)[path[x]:])
+            path[x] = len(path)
+            x = step[x]
+        reaches_zero.update(path)
+    return None
+
+
+def decide_finiteness(r: QComplex, size_budget: int = WITNESS_BUDGET_DEFAULT) -> FinitenessResult:
+    """Decide the finiteness property on the witness graph.
+
+    Finite iff the graph's gamma edges have no cycle other than {0}, that
+    is, iff every witness orbit reaches 0; otherwise the first nontrivial
+    cycle met is an explicit counterexample.  "unknown" when the witness
+    set passes size_budget.
     """
     try:
-        witnesses = brunotte_witnesses(r, size_budget)
+        g = witness_graph(r, size_budget)
     except BudgetExceeded:
         return FinitenessResult("unknown")
-    for a in witness_order(witnesses):
-        res = orbit(r, a, orbit_budget)
-        if res.outcome == "budget":
-            return FinitenessResult("unknown")
-        if res.outcome == "cycle" and not res.cycle.is_trivial():
-            return FinitenessResult("infinite", witness_cycle=res.cycle)
-    return FinitenessResult("finite")
-
-
-def gns_digits(beta: GaussianInt, x: GaussianInt, budget: int = ORBIT_BUDGET_DEFAULT) -> list:
-    """Digits of x in the Gaussian numeration system with base beta.
-
-    Digit i is beta * frac(-1/beta * s_i) where s_i is the i-th iterate of
-    gamma at -1/beta started from -x; the expansion terminates exactly when
-    the iterate hits 0.  Requires -1/beta to have the finiteness property
-    (caller-checked); a non-terminating expansion exhausts the budget.
-    """
-    if beta.is_zero():
-        raise ValueError("beta must be nonzero")
-    n2 = beta.norm2()
-    q = QComplex(Fraction(-beta.re, n2), Fraction(beta.im, n2))  # -1/beta
-    state = -x
-    digits = []
-    for _ in range(budget):
-        if state.is_zero():
-            return digits
-        prod = qc_mul(q, state)
-        fl = complex_floor(prod)
-        frac = prod - QComplex.of(fl)
-        d = qc_mul(frac, beta)
-        if d.re.denominator != 1 or d.im.denominator != 1:
-            raise ValueError(f"non-integer digit {d} for beta={beta}, x={x}")
-        digits.append(GaussianInt(int(d.re), int(d.im)))
-        state = -fl
-    raise BudgetExceeded(f"expansion of {x} in base {beta} did not terminate")
-
-
-def gns_reconstruct(beta: GaussianInt, digits) -> GaussianInt:
-    """Sum of digit_i * beta^i, the inverse of gns_digits."""
-    total = GI_ZERO
-    power = GaussianInt(1, 0)
-    for d in digits:
-        total = total + d * power
-        power = power * beta
-    return total
+    cycle = nontrivial_cycle(g)
+    if cycle is None:
+        return FinitenessResult("finite")
+    return FinitenessResult("infinite", witness_cycle=cycle)

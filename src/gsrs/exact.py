@@ -74,10 +74,6 @@ class QComplex:
     def make(re, im) -> "QComplex":
         return QComplex(Fraction(re), Fraction(im))
 
-    @staticmethod
-    def of(g: GaussianInt) -> "QComplex":
-        return QComplex(Fraction(g.re), Fraction(g.im))
-
     def __add__(self, other: "QComplex") -> "QComplex":
         return QComplex(self.re + other.re, self.im + other.im)
 
@@ -92,9 +88,6 @@ class QComplex:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def scale(self, t: Fraction) -> "QComplex":
-        return QComplex(self.re * t, self.im * t)
 
     def conj(self) -> "QComplex":
         return QComplex(self.re, -self.im)
@@ -118,9 +111,6 @@ class QComplex:
 
     def __repr__(self) -> str:
         return f"({format_rational(self.re)}, {format_rational(self.im)})"
-
-
-QC_ZERO = QComplex(Fraction(0), Fraction(0))
 
 
 def complex_floor(z: QComplex) -> GaussianInt:

@@ -7,7 +7,8 @@ critical-point analysis:
   must be covered by the catalog's cutout polygons, up to residue strictly
   outside the closed unit disk;
 * witness-tile flood fill: the region's core is tiled by witness-graph
-  cells whose parameters all satisfy the finiteness property;
+  cells whose parameters all satisfy the finiteness property, read off
+  each cell's witness graph (no cycle other than {0});
 * direct orbit checks at the circle boundary (shrinking-orbit lemma, the
   two-step displacement table, and the rotation cycles at +-i).
 """
@@ -21,12 +22,10 @@ from typing import List, Optional, Tuple
 from .cutout import cycle_polygon, witness_polyhedron
 from .dynamics import (
     GaussianInt,
-    ORBIT_BUDGET_DEFAULT,
     WITNESS_BUDGET_DEFAULT,
     gamma,
-    orbit,
+    nontrivial_cycle,
     witness_graph,
-    witness_order,
 )
 from .exact import QComplex
 from .families import (
@@ -161,13 +160,13 @@ def flood_fill_tiles(
     target_radius: Fraction,
     budget: int = TILE_BUDGET_DEFAULT,
     witness_budget: int = WITNESS_BUDGET_DEFAULT,
-    orbit_budget: int = ORBIT_BUDGET_DEFAULT,
 ) -> TileReport:
     """Tile the core of the region with witness-graph cells.
 
     Repeatedly sample an uncovered point, realize its witness graph, carve
-    out the graph's parameter cell, and record whether every witness orbit
-    terminates there.  Covered = nothing uncovered and every tile finite.
+    out the graph's parameter cell, and record whether the graph has no
+    cycle other than {0}, which decides finiteness on the whole cell.
+    Covered = nothing uncovered and every tile finite.
     """
     uncovered = [_core_square(target_radius)]
     tiles = []
@@ -178,12 +177,7 @@ def flood_fill_tiles(
         cell = witness_polyhedron(g)
         if not cell.contains(p):
             raise AssertionError("witness cell must contain its parameter")
-        finite = True
-        for a in witness_order(g.vertices):
-            res = orbit(p, a, orbit_budget)
-            if res.outcome != "zero":
-                finite = False
-                break
+        finite = nontrivial_cycle(g) is None
         any_infinite = any_infinite or not finite
         tiles.append((cell, p, finite))
         nxt = []

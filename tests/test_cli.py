@@ -124,6 +124,10 @@ GOLDEN = [
      "da21b88be4ffa92b2125523aef8bf3fc65c0f078a0f4a41345cd2f35625bcda3"),
     (("measure", "--pikes", "50", "--bits", "64"), 0,
      "9dcfa866ee0ddc260f2cf54cc8382a80cbd79bb0add41328643d0a1e2f3ee5db"),
+    (("decide", "--r", "2/3,2/3"), 0,
+     "a4360b0c4de55eb8c79cf2775749bbb518326bc7e13992c03b1649b6470dc106"),
+    (("decide", "--r", "1/2,1/2"), 0,
+     "4f1b6d555062e9641802197aaaf5ceeb1f2d8f63aae66d3ec7f805c6f5f4a00f"),
 ]
 
 
@@ -140,12 +144,16 @@ def test_byte_identical_output(capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["orbit", "--r", "bogus", "--a", "1,0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (
+        ["orbit", "--r", "bogus", "--a", "1,0"],
+        ["no-such-command"],
+        # finiteness is read off the witness graph; there is no orbit budget
+        ["decide", "--r", "1/2,1/2", "--orbit-budget", "5"],
+        ["verify-tiles", "--orbit-budget", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_domain_error_exits_2(capsys):

@@ -1,4 +1,4 @@
-"""The map, orbits, witness sets, the finiteness decision, and digits."""
+"""The map, orbits, witness sets and the finiteness decision."""
 
 from fractions import Fraction
 
@@ -12,11 +12,10 @@ from gsrs.dynamics import (
     decide_finiteness,
     gamma,
     gamma_variant,
-    gns_digits,
-    gns_reconstruct,
-    minimal_cycle,
+    nontrivial_cycle,
     orbit,
     witness_graph,
+    witness_order,
 )
 from gsrs.exact import GaussianInt, QComplex, complex_floor, qc_mul
 
@@ -60,12 +59,6 @@ def test_cycle_canonical_rotation_invariance():
     }
     assert len(cycles) == 1
     assert cycles.pop().elements[0] == GaussianInt(-1, -1)
-
-
-def test_minimal_cycle_collapses_repetition():
-    a, b = GaussianInt(1, 0), GaussianInt(0, 1)
-    assert minimal_cycle([a, b, a, b]) == Cycle.canonical([a, b])
-    assert minimal_cycle([a, b, b, a]) == Cycle.canonical([a, b, b, a])
 
 
 def test_cycle_json_round_trip():
@@ -145,32 +138,66 @@ def test_decide_infinite_with_certifying_cycle():
     assert not res.witness_cycle.is_trivial()
 
 
-# -- numeration digits ------------------------------------------------------
-
-def test_gns_round_trip_grid():
-    beta = GaussianInt(-2, 1)
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            x = GaussianInt(a, b)
-            digits = gns_digits(beta, x)
-            assert gns_reconstruct(beta, digits) == x
-            n2 = beta.norm2()
-            for d in digits:
-                # each digit lies in beta times the unit square [0, 1)^2
-                q = d * beta.conj()
-                assert 0 <= q.re < n2 and 0 <= q.im < n2
+def test_decide_unknown_past_witness_budget():
+    r = QComplex.make(Fraction(3, 5), Fraction(1, 5))
+    assert decide_finiteness(r, size_budget=2).verdict == "unknown"
 
 
-def test_gns_zero_has_empty_expansion():
-    assert gns_digits(GaussianInt(-2, 1), GaussianInt(0, 0)) == []
+# -- the walk of the witness graph against per-witness orbits -----------------
+
+def orbit_loop_cycle(g):
+    """Reference: run `orbit` from each witness in witness order and return
+    the first nontrivial cycle entered, or None when every orbit reaches 0."""
+    for a in witness_order(g.vertices):
+        res = orbit(g.r, a)
+        assert res.outcome != "budget"
+        if res.outcome == "cycle" and not res.cycle.is_trivial():
+            return res.cycle
+    return None
 
 
-def test_gns_rejects_zero_base():
-    with pytest.raises(ValueError):
-        gns_digits(GaussianInt(0, 0), GaussianInt(1, 0))
+def check_walk(r):
+    """The walk and the orbit loop agree on the verdict and the cycle, and
+    `decide_finiteness` reports exactly that; returns the cycle."""
+    g = witness_graph(r)
+    cycle = nontrivial_cycle(g)
+    assert cycle == orbit_loop_cycle(g)
+    res = decide_finiteness(r)
+    if cycle is None:
+        assert (res.verdict, res.witness_cycle) == ("finite", None)
+    else:
+        assert cycle.verify(r) and not cycle.is_trivial()
+        assert (res.verdict, res.witness_cycle) == ("infinite", cycle)
+    return cycle
 
 
-def test_gns_nonterminating_raises():
-    # base 2: -1/2 lacks the finiteness property on the relevant states
-    with pytest.raises(BudgetExceeded):
-        gns_digits(GaussianInt(2, 0), GaussianInt(-1, 0), budget=100)
+# outside the region: 2/3 + 2i/3, and points near |r| = 0.97 at 20..170
+# degrees, whose first cycles have lengths 11, 7, 5, 3, 1, 10, 12 and 1
+INFINITE_POINTS = [
+    ("2/3", "2/3"),
+    ("91/100", "33/100"),
+    ("21/25", "12/25"),
+    ("37/50", "31/50"),
+    ("31/50", "37/50"),
+    ("-17/100", "24/25"),
+    ("-37/50", "31/50"),
+    ("-21/25", "12/25"),
+    ("-24/25", "17/100"),
+]
+
+
+@pytest.mark.parametrize("re, im", INFINITE_POINTS)
+def test_walk_matches_orbit_loop_on_cycles(re, im):
+    assert check_walk(QComplex.make(Fraction(re), Fraction(im))) is not None
+
+
+rim_fractions = st.fractions(min_value=-1, max_value=1, max_denominator=100)
+disk_params = st.builds(QComplex, rim_fractions, rim_fractions).filter(
+    lambda r: r.norm2() < Fraction(97, 100) ** 2
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(disk_params)
+def test_walk_matches_orbit_loop(r):
+    check_walk(r)

@@ -1,12 +1,16 @@
-"""Every name a gsrs module imports is used in that module, and every
-module-level private function is referenced somewhere in the package."""
+"""Every name a gsrs module imports is used in that module, every
+module-level private function is referenced somewhere in the package, and
+every public name is referenced by the package or the benchmark."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gsrs"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gsrs"
+BENCH = ROOT / "campaignbench"
 
 
 def unused_imports(source: str) -> list:
@@ -33,32 +37,50 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def references(node) -> Counter:
+    """How often `node` reads each identifier: loaded names, loaded
+    attributes, and string constants (the benchmark's tracer binds
+    functions by attribute name)."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def unreferenced(definitions, trees, readers=()) -> list:
+    """Qualified names of `definitions`, (qualified name, name, definition
+    node or None) triples, that nothing in `trees` or `readers` reads
+    outside the definition itself."""
+    total = Counter()
+    for tree in list(trees) + list(readers):
+        total += references(tree)
+    return sorted(
+        qual
+        for qual, name, node in definitions
+        if total[name] == (references(node)[name] if node is not None else 0)
+    )
+
+
 def dead_private_functions(sources: dict) -> list:
     """`module.name` of each module-level `_private` function in `sources`
     (module name -> source text) that no code in `sources` references
     outside the function's own definition."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     private = [
-        (mod, node.name)
+        (f"{mod}.{node.name}", node.name, node)
         for mod, tree in trees.items()
         for node in tree.body
-        if isinstance(node, defs) and node.name.startswith("_") and not node.name.startswith("__")
+        if isinstance(node, FUNCTIONS) and node.name.startswith("_") and not node.name.startswith("__")
     ]
-    used = set()
-    for tree in trees.values():
-        for top in tree.body:
-            own = top.name if isinstance(top, defs) else None
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    used.add(name)
-    return sorted(f"{mod}.{name}" for mod, name in private if name not in used)
+    return unreferenced(private, trees.values())
 
 
 def test_dead_private_functions_detects_orphans():
@@ -72,3 +94,63 @@ def test_dead_private_functions_detects_orphans():
 def test_no_dead_private_functions():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert dead_private_functions(sources) == []
+
+
+def public_definitions(mod: str, tree) -> list:
+    """(qualified name, name, definition node or None) for each public
+    module-level function, class and assigned name in `tree`, and each
+    public method of a module-level class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            out.append((f"{mod}.{node.name}", node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((f"{mod}.{t.id}", t.id, None) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (f"{mod}.{node.name}.{m.name}", m.name, m)
+                for m in node.body
+                if isinstance(m, FUNCTIONS)
+            )
+    return [entry for entry in out if not entry[1].startswith("_")]
+
+
+def unreferenced_public_names(sources: dict, readers: dict) -> list:
+    """`module.name` of each public name defined in `sources` (module name
+    -> source text) that no code in `sources` or `readers` (more sources
+    that only read) references outside the name's own definition."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    public = [entry for mod, tree in trees.items() for entry in public_definitions(mod, tree)]
+    return unreferenced(public, trees.values(), [ast.parse(text) for text in readers.values()])
+
+
+# public names nothing in gsrs or the benchmark uses, kept on purpose
+PUBLIC_ALLOWLIST = {
+    "families.valid_instances": "criterion 2's catalog set, larger than the selection set",
+    "region.cells_svg_overlay": "renders diagnostic figures of residual cells",
+    "verify.CoverageReport.failed_cells": "names the failing cells in acceptance-test messages",
+}
+
+
+def test_unreferenced_public_names_detects_orphans():
+    sources = {
+        "a": (
+            "LIMIT = 3\nUNUSED = 4\n\ndef used():\n    return LIMIT\n\n"
+            "def orphan():\n    return orphan()\n\n"
+            "class K:\n    def called(self):\n        return 1\n\n"
+            "    def lonely(self):\n        return self.lonely()\n\n"
+            "    def __repr__(self):\n        return ''\n"
+        ),
+        "b": "from . import a\n\ndef run():\n    return a.used(), a.K().called()\n",
+    }
+    readers = {"bench": "TRACED = ('run',)\n"}
+    assert unreferenced_public_names(sources, readers) == [
+        "a.K.lonely", "a.UNUSED", "a.orphan",
+    ]
+
+
+def test_no_unreferenced_public_names():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {str(path): path.read_text() for path in sorted(BENCH.rglob("*.py"))}
+    assert unreferenced_public_names(sources, readers) == sorted(PUBLIC_ALLOWLIST)

@@ -128,7 +128,7 @@ def test_region_is_star_shaped_on_samples():
             Fraction(rng.randrange(-den, den + 1), den),
         )
         if region_contains(p):
-            half = p.scale(Fraction(1, 2))
+            half = p * QComplex.make(Fraction(1, 2), 0)
             assert region_contains(half)
 
 
