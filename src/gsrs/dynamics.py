@@ -1,6 +1,6 @@
 """The Gaussian shift radix map, its signed/conjugated variants, orbits,
-Brunotte's witness-set algorithm and the finiteness decision read off the
-witness graph.
+Brunotte's witness-set algorithm and the finiteness decision on the
+witness set.
 
 All operations are pure; budgets are explicit because termination is only
 guaranteed for parameters strictly inside the unit disk.
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exact import GaussianInt, GI_ZERO, QComplex, complex_floor, qc_mul
+from .exact import GaussianInt, QComplex, complex_floor, qc_mul
 
 ORBIT_BUDGET_DEFAULT = 10**6
 WITNESS_BUDGET_DEFAULT = 10**6
@@ -168,41 +168,37 @@ class FinitenessResult:
     witness_cycle: Optional[Cycle] = None
 
 
-def nontrivial_cycle(g: WitnessGraph) -> Optional[Cycle]:
-    """The first cycle other than {0} that gamma meets from the witnesses,
-    taken in witness order, or None when every witness reaches 0.
+def nontrivial_cycle(r: QComplex, witnesses) -> Optional[Cycle]:
+    """The first cycle other than {0} that an orbit of gamma enters from the
+    witnesses, taken in witness order, or None when every orbit reaches 0.
 
-    The walk follows the E1 edges of the graph; V is closed under gamma, so
-    it never leaves V and visits each vertex once.  Vertices already known
-    to reach 0 end a walk early.
+    The witness set is closed under gamma, so an orbit started in it stays
+    in it and reaches 0 or repeats a state within len(witnesses) steps; that
+    bound is the orbit budget, and a "budget" outcome means the set was not
+    closed.
     """
-    step = g.edges[0]
-    reaches_zero = {GI_ZERO}
-    for a in witness_order(g.vertices):
-        path = {}  # vertex -> position on this walk
-        x = a
-        while x not in reaches_zero:
-            if x in path:
-                return Cycle.canonical(list(path)[path[x]:])
-            path[x] = len(path)
-            x = step[x]
-        reaches_zero.update(path)
+    for a in witness_order(witnesses):
+        res = orbit(r, a, len(witnesses))
+        if res.outcome == "budget":
+            raise ValueError("witness set is not closed under gamma")
+        if res.outcome == "cycle":
+            return res.cycle
     return None
 
 
 def decide_finiteness(r: QComplex, size_budget: int = WITNESS_BUDGET_DEFAULT) -> FinitenessResult:
-    """Decide the finiteness property on the witness graph.
+    """Decide the finiteness property on Brunotte's witness set.
 
-    Finite iff the graph's gamma edges have no cycle other than {0}, that
-    is, iff every witness orbit reaches 0; otherwise the first nontrivial
+    Finite iff every witness orbit reaches 0, that is, iff gamma has no
+    cycle other than {0} on the witness set; otherwise the first nontrivial
     cycle met is an explicit counterexample.  "unknown" when the witness
     set passes size_budget.
     """
     try:
-        g = witness_graph(r, size_budget)
+        witnesses = brunotte_witnesses(r, size_budget)
     except BudgetExceeded:
         return FinitenessResult("unknown")
-    cycle = nontrivial_cycle(g)
+    cycle = nontrivial_cycle(r, witnesses)
     if cycle is None:
         return FinitenessResult("finite")
     return FinitenessResult("infinite", witness_cycle=cycle)

@@ -60,9 +60,6 @@ class GaussianInt:
         return f"({self.re}, {self.im})"
 
 
-GI_ZERO = GaussianInt(0, 0)
-
-
 @dataclass(frozen=True)
 class QComplex:
     """A complex number with exact rational real and imaginary parts."""

@@ -7,8 +7,8 @@ critical-point analysis:
   must be covered by the catalog's cutout polygons, up to residue strictly
   outside the closed unit disk;
 * witness-tile flood fill: the region's core is tiled by witness-graph
-  cells whose parameters all satisfy the finiteness property, read off
-  each cell's witness graph (no cycle other than {0});
+  cells whose parameters all satisfy the finiteness property, decided on
+  each cell's witness set (no cycle other than {0});
 * direct orbit checks at the circle boundary (shrinking-orbit lemma, the
   two-step displacement table, and the rotation cycles at +-i).
 """
@@ -164,8 +164,9 @@ def flood_fill_tiles(
     """Tile the core of the region with witness-graph cells.
 
     Repeatedly sample an uncovered point, realize its witness graph, carve
-    out the graph's parameter cell, and record whether the graph has no
-    cycle other than {0}, which decides finiteness on the whole cell.
+    out the graph's parameter cell, and record whether gamma has no cycle
+    other than {0} on the graph's vertices, which decides finiteness on the
+    whole cell.
     Covered = nothing uncovered and every tile finite.
     """
     uncovered = [_core_square(target_radius)]
@@ -177,7 +178,7 @@ def flood_fill_tiles(
         cell = witness_polyhedron(g)
         if not cell.contains(p):
             raise AssertionError("witness cell must contain its parameter")
-        finite = nontrivial_cycle(g) is None
+        finite = nontrivial_cycle(p, g.vertices) is None
         any_infinite = any_infinite or not finite
         tiles.append((cell, p, finite))
         nxt = []

@@ -143,25 +143,32 @@ def test_decide_unknown_past_witness_budget():
     assert decide_finiteness(r, size_budget=2).verdict == "unknown"
 
 
-# -- the walk of the witness graph against per-witness orbits -----------------
+# -- the orbit walk against a walk of the graph's gamma edges -----------------
 
-def orbit_loop_cycle(g):
-    """Reference: run `orbit` from each witness in witness order and return
-    the first nontrivial cycle entered, or None when every orbit reaches 0."""
+def edge_walk_cycle(g):
+    """Reference: follow the E1 edges of the witness graph from each witness
+    in witness order, remembering the vertices known to reach 0, and return
+    the first cycle other than {0} met, or None."""
+    step = g.edges[0]
+    reaches_zero = {GaussianInt(0, 0)}
     for a in witness_order(g.vertices):
-        res = orbit(g.r, a)
-        assert res.outcome != "budget"
-        if res.outcome == "cycle" and not res.cycle.is_trivial():
-            return res.cycle
+        path = {}  # vertex -> position on this walk
+        x = a
+        while x not in reaches_zero:
+            if x in path:
+                return Cycle.canonical(list(path)[path[x]:])
+            path[x] = len(path)
+            x = step[x]
+        reaches_zero.update(path)
     return None
 
 
 def check_walk(r):
-    """The walk and the orbit loop agree on the verdict and the cycle, and
-    `decide_finiteness` reports exactly that; returns the cycle."""
+    """The orbit walk and the edge walk agree on the verdict and the cycle,
+    and `decide_finiteness` reports exactly that; returns the cycle."""
     g = witness_graph(r)
-    cycle = nontrivial_cycle(g)
-    assert cycle == orbit_loop_cycle(g)
+    cycle = nontrivial_cycle(r, g.vertices)
+    assert cycle == edge_walk_cycle(g)
     res = decide_finiteness(r)
     if cycle is None:
         assert (res.verdict, res.witness_cycle) == ("finite", None)
@@ -169,6 +176,14 @@ def check_walk(r):
         assert cycle.verify(r) and not cycle.is_trivial()
         assert (res.verdict, res.witness_cycle) == ("infinite", cycle)
     return cycle
+
+
+def test_walk_rejects_a_set_not_closed_under_gamma():
+    r = QComplex.make(Fraction(2, 3), Fraction(2, 3))
+    a = GaussianInt(5, 0)
+    assert orbit(r, a, 1).outcome == "budget"
+    with pytest.raises(ValueError):
+        nontrivial_cycle(r, {a})
 
 
 # outside the region: 2/3 + 2i/3, and points near |r| = 0.97 at 20..170
@@ -187,7 +202,7 @@ INFINITE_POINTS = [
 
 
 @pytest.mark.parametrize("re, im", INFINITE_POINTS)
-def test_walk_matches_orbit_loop_on_cycles(re, im):
+def test_walk_matches_edge_walk_on_cycles(re, im):
     assert check_walk(QComplex.make(Fraction(re), Fraction(im))) is not None
 
 
@@ -199,5 +214,5 @@ disk_params = st.builds(QComplex, rim_fractions, rim_fractions).filter(
 
 @settings(max_examples=150, deadline=None)
 @given(disk_params)
-def test_walk_matches_orbit_loop(r):
+def test_walk_matches_edge_walk(r):
     check_walk(r)

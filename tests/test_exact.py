@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gsrs.exact import (
-    GI_ZERO,
     GaussianInt,
     QComplex,
     complex_floor,
@@ -43,7 +42,7 @@ def test_gaussian_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + (-a) == GI_ZERO
+    assert a + (-a) == GaussianInt(0, 0)
     assert a - b == a + (-b)
 
 
@@ -53,7 +52,7 @@ def test_gaussian_norm_and_conj(a, b):
     assert (a * b).conj() == a.conj() * b.conj()
     assert a.conj().conj() == a
     assert a.norm2() == (a * a.conj()).re
-    assert a.is_zero() == (a == GI_ZERO)
+    assert a.is_zero() == (a == GaussianInt(0, 0))
 
 
 @given(qcomplexes, qcomplexes)

@@ -40,17 +40,16 @@ def test_no_unused_imports(path):
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def references(node) -> Counter:
-    """How often `node` reads each identifier: loaded names, loaded
-    attributes, and string constants (the benchmark's tracer binds
-    functions by attribute name)."""
+def references(node, strings=False) -> Counter:
+    """How often `node` reads each identifier: loaded names and loaded
+    attributes, and with `strings` also string constants."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out[n.id] += 1
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             out[n.attr] += 1
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
             out[n.value] += 1
     return out
 
@@ -58,10 +57,13 @@ def references(node) -> Counter:
 def unreferenced(definitions, trees, readers=()) -> list:
     """Qualified names of `definitions`, (qualified name, name, definition
     node or None) triples, that nothing in `trees` or `readers` reads
-    outside the definition itself."""
+    outside the definition itself.  A string constant counts as a read only
+    in `readers`: the benchmark's tracer binds functions by attribute name."""
     total = Counter()
-    for tree in list(trees) + list(readers):
+    for tree in trees:
         total += references(tree)
+    for tree in readers:
+        total += references(tree, strings=True)
     return sorted(
         qual
         for qual, name, node in definitions
@@ -136,17 +138,18 @@ PUBLIC_ALLOWLIST = {
 def test_unreferenced_public_names_detects_orphans():
     sources = {
         "a": (
-            "LIMIT = 3\nUNUSED = 4\n\ndef used():\n    return LIMIT\n\n"
+            "LIMIT = 3\nUNUSED = 4\n\ndef used():\n    return LIMIT, 'spelled'\n\n"
             "def orphan():\n    return orphan()\n\n"
             "class K:\n    def called(self):\n        return 1\n\n"
             "    def lonely(self):\n        return self.lonely()\n\n"
+            "    def spelled(self):\n        return 2\n\n"
             "    def __repr__(self):\n        return ''\n"
         ),
         "b": "from . import a\n\ndef run():\n    return a.used(), a.K().called()\n",
     }
     readers = {"bench": "TRACED = ('run',)\n"}
     assert unreferenced_public_names(sources, readers) == [
-        "a.K.lonely", "a.UNUSED", "a.orphan",
+        "a.K.lonely", "a.K.spelled", "a.UNUSED", "a.orphan",
     ]
 
 
